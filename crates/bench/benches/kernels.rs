@@ -7,7 +7,10 @@ use marius_baselines::LayerwiseSampler;
 use marius_graph::datasets::{DatasetSpec, ScaledDataset};
 use marius_graph::InMemorySubgraph;
 use marius_sampling::{MultiHopSampler, SamplingDirection};
-use marius_tensor::segment::{index_select, segment_sum};
+use marius_tensor::segment::{
+    gather_segment_mean, index_add, index_select, segment_expand, segment_mean,
+    segment_scatter_add, segment_sum,
+};
 use marius_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,6 +34,46 @@ fn bench_dense_kernels(c: &mut Criterion) {
     c.bench_function("softmax rows 256x64", |b| {
         b.iter(|| Tensor::softmax_rows(&a))
     });
+}
+
+/// Fused Algorithm 3 kernels against the unfused chains they replace, and
+/// transpose-free `AᵀB` against `transpose().matmul()`, at two shapes: one
+/// `train_sage` batch layer (889 input rows, 6.2k sampled edges, dim 8) and the
+/// 16k-edge × dim-64 shape of the kernel baseline above.
+fn bench_fused_kernels(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(2);
+    for (label, rows, edges, dim) in [
+        ("train_sage 6.2kx8", 889usize, 6_200usize, 8usize),
+        ("16kx64", 4096, 16_384, 64),
+    ] {
+        let h = marius_tensor::uniform_init(&mut rng, rows, dim, 1.0);
+        let indices: Vec<usize> = (0..edges).map(|i| (i * 37) % rows).collect();
+        let offsets: Vec<usize> = (0..edges / 8).map(|i| i * 8).collect();
+        let seg_grad = marius_tensor::uniform_init(&mut rng, offsets.len(), dim, 1.0);
+
+        c.bench_function(&format!("index_select+segment_mean {label}"), |b| {
+            b.iter(|| segment_mean(&index_select(&h, &indices).unwrap(), &offsets).unwrap())
+        });
+        c.bench_function(&format!("gather_segment_mean (fused) {label}"), |b| {
+            b.iter(|| gather_segment_mean(&h, &indices, &offsets).unwrap())
+        });
+        c.bench_function(&format!("segment_expand+index_add {label}"), |b| {
+            b.iter(|| {
+                let rows_grad = segment_expand(&seg_grad, &offsets, edges).unwrap();
+                index_add(rows, dim, &indices, &rows_grad).unwrap()
+            })
+        });
+        c.bench_function(&format!("segment_scatter_add (fused) {label}"), |b| {
+            b.iter(|| segment_scatter_add(rows, &seg_grad, &indices, &offsets).unwrap())
+        });
+        let aggr = gather_segment_mean(&h, &indices, &offsets).unwrap();
+        c.bench_function(&format!("transpose().matmul() (AᵀB) {label}"), |b| {
+            b.iter(|| aggr.transpose().matmul(&seg_grad))
+        });
+        c.bench_function(&format!("transpose_matmul (AᵀB) {label}"), |b| {
+            b.iter(|| aggr.transpose_matmul(&seg_grad).unwrap())
+        });
+    }
 }
 
 fn bench_sampling(c: &mut Criterion) {
@@ -61,6 +104,6 @@ fn bench_sampling(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dense_kernels, bench_sampling
+    targets = bench_dense_kernels, bench_fused_kernels, bench_sampling
 }
 criterion_main!(benches);

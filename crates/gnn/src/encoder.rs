@@ -96,7 +96,6 @@ impl Encoder {
             };
         }
 
-        dense.build_repr_map();
         let mut contexts = Vec::with_capacity(self.layers.len());
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut inputs = Vec::with_capacity(self.layers.len());

@@ -7,7 +7,7 @@
 
 use super::{add_into_rows, GnnLayer, LayerCache, LayerContext};
 use crate::optimizer::Param;
-use marius_tensor::segment::{index_add, index_select, segment_expand, segment_sum};
+use marius_tensor::segment::{gather_segment_sum, segment_scatter_add};
 use marius_tensor::{glorot_uniform, Tensor};
 use rand::Rng;
 
@@ -50,16 +50,14 @@ impl GcnLayer {
 
 impl GnnLayer for GcnLayer {
     fn forward(&self, ctx: &LayerContext, input: &Tensor) -> (Tensor, LayerCache) {
-        let nbr_repr = index_select(input, &ctx.repr_map).expect("repr_map in range");
-        let nbr_sum = segment_sum(&nbr_repr, &ctx.nbr_offsets).expect("valid offsets");
-        let self_repr = input
-            .slice_rows(ctx.self_offset, input.rows())
-            .expect("self rows in range");
-        let mut combined = nbr_sum.add(&self_repr).expect("matching dims");
+        let mut combined = gather_segment_sum(input, &ctx.repr_map, &ctx.nbr_offsets)
+            .expect("DENSE repr_map and offsets are valid for the layer input");
+        // Add each node's own row, read in place, then normalise.
         let norms = Self::norms(ctx);
         for (j, &n) in norms.iter().enumerate() {
-            for x in combined.row_mut(j) {
-                *x *= n;
+            let self_row = input.row(ctx.self_offset + j);
+            for (x, &h) in combined.row_mut(j).iter_mut().zip(self_row) {
+                *x = (*x + h) * n;
             }
         }
         let pre = combined
@@ -93,8 +91,11 @@ impl GnnLayer for GcnLayer {
         };
 
         self.bias.accumulate_grad(&grad_pre.sum_rows());
-        self.weight
-            .accumulate_grad(&combined.transpose().matmul(&grad_pre));
+        self.weight.accumulate_grad(
+            &combined
+                .transpose_matmul(&grad_pre)
+                .expect("combined rows match grad_pre"),
+        );
 
         // Gradient w.r.t. the normalised combined representation.
         let mut grad_combined = grad_pre.matmul(&self.weight.value.transpose());
@@ -107,15 +108,13 @@ impl GnnLayer for GcnLayer {
 
         // The combined rep is self + Σ neighbours, so the gradient fans out to
         // both with the same value.
-        let grad_nbr_rows = segment_expand(&grad_combined, &ctx.nbr_offsets, ctx.num_edges())
-            .expect("segment expand shapes");
-        let mut grad_input = index_add(
+        let mut grad_input = segment_scatter_add(
             ctx.num_input_rows,
-            self.in_dim,
+            &grad_combined,
             &ctx.repr_map,
-            &grad_nbr_rows,
+            &ctx.nbr_offsets,
         )
-        .expect("index_add shapes");
+        .expect("DENSE repr_map and offsets are valid for the layer input");
         add_into_rows(&mut grad_input, ctx.self_offset, &grad_combined);
         grad_input
     }
@@ -216,6 +215,63 @@ mod tests {
                     "weight grad ({r},{c})"
                 );
             }
+        }
+    }
+
+    /// The fused forward and backward give the bits of the unfused kernel
+    /// chain (`index_select` → `segment_sum`, `slice_rows`, `add`,
+    /// `transpose().matmul()`, `segment_expand` → `index_add`) on both layers
+    /// of a sampled DENSE batch.
+    #[test]
+    fn fused_layer_matches_the_unfused_kernel_chain_bit_for_bit() {
+        use crate::layers::tests::{assert_bits_eq, sampled_contexts};
+        use marius_tensor::segment::{index_add, index_select, segment_expand, segment_sum};
+        let (contexts, mut input) = sampled_contexts(11, 8);
+        let mut rng = StdRng::seed_from_u64(11);
+        for ctx in &contexts {
+            let mut layer = GcnLayer::new(8, 8, true, &mut rng);
+            layer.bias.value = glorot_uniform(&mut rng, 1, 8);
+            let (out, cache) = layer.forward(ctx, &input);
+            let grad_out = out.map(|x| x - 0.25);
+            let grad_input = layer.backward(ctx, &cache, &input, &grad_out);
+
+            // The unfused chain.
+            let nbr_sum = segment_sum(
+                &index_select(&input, &ctx.repr_map).unwrap(),
+                &ctx.nbr_offsets,
+            )
+            .unwrap();
+            let self_rows = input.slice_rows(ctx.self_offset, input.rows()).unwrap();
+            let mut combined = nbr_sum.add(&self_rows).unwrap();
+            let norms = GcnLayer::norms(ctx);
+            for (j, &n) in norms.iter().enumerate() {
+                for x in combined.row_mut(j) {
+                    *x *= n;
+                }
+            }
+            let pre = combined
+                .matmul(&layer.weight.value)
+                .add_row_broadcast(&layer.bias.value)
+                .unwrap();
+            assert_bits_eq(&out, &pre.relu(), "forward");
+            let grad_pre = grad_out.mul(&pre.relu_grad_mask()).unwrap();
+            let mut grad_combined = grad_pre.matmul(&layer.weight.value.transpose());
+            for (j, &n) in norms.iter().enumerate() {
+                for x in grad_combined.row_mut(j) {
+                    *x *= n;
+                }
+            }
+            let rows_grad =
+                segment_expand(&grad_combined, &ctx.nbr_offsets, ctx.num_edges()).unwrap();
+            let mut expected_grad =
+                index_add(ctx.num_input_rows, 8, &ctx.repr_map, &rows_grad).unwrap();
+            add_into_rows(&mut expected_grad, ctx.self_offset, &grad_combined);
+            assert_bits_eq(&grad_input, &expected_grad, "input gradient");
+            let weight_grad = Tensor::zeros(8, 8)
+                .add(&combined.transpose().matmul(&grad_pre))
+                .unwrap();
+            assert_bits_eq(&layer.weight.grad, &weight_grad, "weight gradient");
+            input = out;
         }
     }
 

@@ -1,12 +1,20 @@
 //! The GraphSage layer (Hamilton et al., 2017) over DENSE samples.
 //!
-//! `h_out = act( W_self · h_self + W_nbr · AGG(h_nbrs) + b )` where `AGG` is a
+//! `h_out = act( (h_self · W_self + AGG(h_nbrs) · W_nbr) + b )` where `AGG` is a
 //! mean or sum over the node's sampled one-hop neighbours. This is the model used
 //! for most of the paper's end-to-end experiments (Tables 3–6, 8).
+//!
+//! Forward runs Algorithm 3 as three kernels: the fused gather + segment
+//! reduce over the `repr_map` ([`gather_segment_mean`] / [`gather_segment_sum`]),
+//! the two projections (the self rows are read in place from the layer input),
+//! and one pass adding them and the bias row by row, in that association order.
+//! Backward mirrors it: transpose-free weight-gradient GEMMs
+//! ([`Tensor::transpose_matmul`]), the input-gradient GEMMs, and the fused
+//! [`segment_scatter_add`] back onto the gathered rows.
 
 use super::{add_into_rows, GnnLayer, LayerCache, LayerContext};
 use crate::optimizer::Param;
-use marius_tensor::segment::{index_add, index_select, segment_expand, segment_mean, segment_sum};
+use marius_tensor::segment::{gather_segment_mean, gather_segment_sum, segment_scatter_add};
 use marius_tensor::{glorot_uniform, Tensor};
 use rand::Rng;
 
@@ -57,31 +65,33 @@ impl GraphSageLayer {
         self.aggregator
     }
 
-    fn aggregate(&self, nbr_repr: &Tensor, ctx: &LayerContext) -> Tensor {
+    fn aggregate(&self, input: &Tensor, ctx: &LayerContext) -> Tensor {
         match self.aggregator {
-            Aggregator::Mean => segment_mean(nbr_repr, &ctx.nbr_offsets)
-                .expect("DENSE offsets are valid for segment ops"),
-            Aggregator::Sum => segment_sum(nbr_repr, &ctx.nbr_offsets)
-                .expect("DENSE offsets are valid for segment ops"),
+            Aggregator::Mean => gather_segment_mean(input, &ctx.repr_map, &ctx.nbr_offsets),
+            Aggregator::Sum => gather_segment_sum(input, &ctx.repr_map, &ctx.nbr_offsets),
         }
+        .expect("DENSE repr_map and offsets are valid for the layer input")
     }
 }
 
 impl GnnLayer for GraphSageLayer {
     fn forward(&self, ctx: &LayerContext, input: &Tensor) -> (Tensor, LayerCache) {
-        // Algorithm 3: gather neighbour rows, reduce segments, combine with self.
-        let nbr_repr = index_select(input, &ctx.repr_map).expect("repr_map in range");
-        let nbr_aggr = self.aggregate(&nbr_repr, ctx);
-        let self_repr = input
-            .slice_rows(ctx.self_offset, input.rows())
-            .expect("self rows in range");
-
-        let pre = self_repr
-            .matmul(&self.w_self.value)
-            .add(&nbr_aggr.matmul(&self.w_nbr.value))
-            .expect("matching projection dims")
-            .add_row_broadcast(&self.bias.value)
-            .expect("bias dims");
+        // Algorithm 3: gather + reduce neighbour rows, combine with self.
+        let nbr_aggr = self.aggregate(input, ctx);
+        let mut pre = input
+            .matmul_from_row(ctx.self_offset, &self.w_self.value)
+            .expect("self rows match w_self");
+        let nbr_proj = nbr_aggr.matmul(&self.w_nbr.value);
+        let bias = self.bias.value.row(0);
+        for (p, n) in pre
+            .data_mut()
+            .chunks_exact_mut(self.out_dim)
+            .zip(nbr_proj.data().chunks_exact(self.out_dim))
+        {
+            for ((p, &n), &b) in p.iter_mut().zip(n).zip(bias) {
+                *p = (*p + n) + b;
+            }
+        }
         let out = if self.activation {
             pre.relu()
         } else {
@@ -99,9 +109,6 @@ impl GnnLayer for GraphSageLayer {
     ) -> Tensor {
         let nbr_aggr = &cache.tensors[0];
         let pre = &cache.tensors[1];
-        let self_repr = input
-            .slice_rows(ctx.self_offset, input.rows())
-            .expect("self rows in range");
 
         // Activation backward.
         let grad_pre = if self.activation {
@@ -114,42 +121,39 @@ impl GnnLayer for GraphSageLayer {
 
         // Parameter gradients.
         self.bias.accumulate_grad(&grad_pre.sum_rows());
-        self.w_self
-            .accumulate_grad(&self_repr.transpose().matmul(&grad_pre));
-        self.w_nbr
-            .accumulate_grad(&nbr_aggr.transpose().matmul(&grad_pre));
+        self.w_self.accumulate_grad(
+            &input
+                .transpose_matmul_from_row(ctx.self_offset, &grad_pre)
+                .expect("self rows match grad_pre"),
+        );
+        self.w_nbr.accumulate_grad(
+            &nbr_aggr
+                .transpose_matmul(&grad_pre)
+                .expect("aggregate rows match grad_pre"),
+        );
 
         // Gradients flowing to the layer input.
         let grad_self = grad_pre.matmul(&self.w_self.value.transpose());
-        let grad_aggr = grad_pre.matmul(&self.w_nbr.value.transpose());
+        let mut grad_aggr = grad_pre.matmul(&self.w_nbr.value.transpose());
 
         // Undo the segment reduction: mean divides by the segment length.
-        let grad_aggr_scaled = match self.aggregator {
-            Aggregator::Sum => grad_aggr,
-            Aggregator::Mean => {
-                let counts = ctx.segment_counts();
-                let mut scaled = grad_aggr;
-                for (j, &c) in counts.iter().enumerate() {
-                    if c > 1 {
-                        let inv = 1.0 / c as f32;
-                        for x in scaled.row_mut(j) {
-                            *x *= inv;
-                        }
+        if self.aggregator == Aggregator::Mean {
+            for (j, c) in ctx.segment_counts().into_iter().enumerate() {
+                if c > 1 {
+                    let inv = 1.0 / c as f32;
+                    for x in grad_aggr.row_mut(j) {
+                        *x *= inv;
                     }
                 }
-                scaled
             }
-        };
-        let grad_nbr_rows = segment_expand(&grad_aggr_scaled, &ctx.nbr_offsets, ctx.num_edges())
-            .expect("segment expand shapes");
-
-        let mut grad_input = index_add(
+        }
+        let mut grad_input = segment_scatter_add(
             ctx.num_input_rows,
-            self.in_dim,
+            &grad_aggr,
             &ctx.repr_map,
-            &grad_nbr_rows,
+            &ctx.nbr_offsets,
         )
-        .expect("index_add shapes");
+        .expect("DENSE repr_map and offsets are valid for the layer input");
         add_into_rows(&mut grad_input, ctx.self_offset, &grad_self);
         grad_input
     }
@@ -313,6 +317,78 @@ mod tests {
         }
         // Bias gradient for an all-ones upstream gradient is the number of output rows.
         assert!((analytic_bias.get(0, 0) - 3.0).abs() < 1e-4);
+    }
+
+    /// The layer's fused kernels give the bits of the unfused kernel chain
+    /// (`index_select` → `segment_{mean,sum}`, `slice_rows` and whole-matrix
+    /// projections, `transpose().matmul()`, `segment_expand` → `index_add`)
+    /// on both layers of a sampled DENSE batch.
+    #[test]
+    fn fused_layer_matches_the_unfused_kernel_chain_bit_for_bit() {
+        use crate::layers::tests::{assert_bits_eq, sampled_contexts};
+        use marius_tensor::segment::{
+            index_add, index_select, segment_expand, segment_mean, segment_sum,
+        };
+        for (seed, aggregator, activation, dim) in [
+            (7, Aggregator::Mean, true, 8),
+            (8, Aggregator::Sum, true, 16),
+            (9, Aggregator::Mean, false, 5),
+        ] {
+            let (contexts, mut input) = sampled_contexts(seed, dim);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for ctx in &contexts {
+                let mut layer = GraphSageLayer::new(dim, dim, aggregator, activation, &mut rng);
+                layer.bias.value = glorot_uniform(&mut rng, 1, dim);
+                let (out, cache) = layer.forward(ctx, &input);
+                let grad_out = out.map(|x| x - 0.25);
+                let grad_input = layer.backward(ctx, &cache, &input, &grad_out);
+
+                // The unfused chain.
+                let gathered = index_select(&input, &ctx.repr_map).unwrap();
+                let aggr = match aggregator {
+                    Aggregator::Mean => segment_mean(&gathered, &ctx.nbr_offsets).unwrap(),
+                    Aggregator::Sum => segment_sum(&gathered, &ctx.nbr_offsets).unwrap(),
+                };
+                let self_rows = input.slice_rows(ctx.self_offset, input.rows()).unwrap();
+                let pre = self_rows
+                    .matmul(&layer.w_self.value)
+                    .add(&aggr.matmul(&layer.w_nbr.value))
+                    .unwrap()
+                    .add_row_broadcast(&layer.bias.value)
+                    .unwrap();
+                let expected_out = if activation { pre.relu() } else { pre.clone() };
+                assert_bits_eq(&out, &expected_out, "forward");
+                let grad_pre = if activation {
+                    grad_out.mul(&pre.relu_grad_mask()).unwrap()
+                } else {
+                    grad_out.clone()
+                };
+                let mut grad_aggr = grad_pre.matmul(&layer.w_nbr.value.transpose());
+                if aggregator == Aggregator::Mean {
+                    for (j, c) in ctx.segment_counts().into_iter().enumerate() {
+                        if c > 1 {
+                            let inv = 1.0 / c as f32;
+                            for x in grad_aggr.row_mut(j) {
+                                *x *= inv;
+                            }
+                        }
+                    }
+                }
+                let rows_grad =
+                    segment_expand(&grad_aggr, &ctx.nbr_offsets, ctx.num_edges()).unwrap();
+                let mut expected_grad =
+                    index_add(ctx.num_input_rows, dim, &ctx.repr_map, &rows_grad).unwrap();
+                let grad_self = grad_pre.matmul(&layer.w_self.value.transpose());
+                add_into_rows(&mut expected_grad, ctx.self_offset, &grad_self);
+                assert_bits_eq(&grad_input, &expected_grad, "input gradient");
+                let zero = Tensor::zeros(dim, dim);
+                let w_self_grad = zero.add(&self_rows.transpose().matmul(&grad_pre)).unwrap();
+                let w_nbr_grad = zero.add(&aggr.transpose().matmul(&grad_pre)).unwrap();
+                assert_bits_eq(&layer.w_self.grad, &w_self_grad, "w_self gradient");
+                assert_bits_eq(&layer.w_nbr.grad, &w_nbr_grad, "w_nbr gradient");
+                input = out;
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! arrays relevant to one GNN layer — plus the layer-input representation matrix
 //! whose rows are aligned with the DENSE `node_ids` of that layer. The forward
 //! pass is exactly Algorithm 3 of the paper: gather neighbour rows with the
-//! `repr_map`, reduce contiguous segments, combine with the nodes' own rows.
-//! Backward passes are hand-written adjoints of the same kernels.
+//! `repr_map` and reduce contiguous segments in one fused kernel, then combine
+//! with the nodes' own rows. Backward passes are hand-written adjoints of the
+//! same kernels.
 
 mod gat;
 mod gcn;
@@ -45,11 +46,12 @@ impl LayerContext {
     ///
     /// # Panics
     ///
-    /// Panics if `dense.build_repr_map` has not been called.
+    /// Panics if the `repr_map` does not have one entry per sampled neighbour.
     pub fn from_dense(dense: &Dense) -> Self {
-        assert!(
-            dense.nbrs().is_empty() == dense.repr_map().is_empty(),
-            "LayerContext requires Dense::build_repr_map to have been called"
+        assert_eq!(
+            dense.repr_map().len(),
+            dense.nbrs().len(),
+            "LayerContext requires one repr_map entry per DENSE neighbour"
         );
         LayerContext {
             repr_map: dense.repr_map().to_vec(),
@@ -208,9 +210,41 @@ mod tests {
         let graph = InMemorySubgraph::from_edges(&edges);
         let sampler = MultiHopSampler::new(vec![10, 10], SamplingDirection::Incoming);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut dense = sampler.sample(&graph, &[0, 1], &mut rng);
-        dense.build_repr_map();
+        let dense = sampler.sample(&graph, &[0, 1], &mut rng);
         LayerContext::from_dense(&dense)
+    }
+
+    /// The contexts of a two-layer DENSE sample over a random graph, plus a
+    /// layer input for the first one with ReLU-style zeros and a −0.0.
+    pub(crate) fn sampled_contexts(seed: u64, dim: usize) -> (Vec<LayerContext>, Tensor) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges: Vec<Edge> = (0..300)
+            .map(|_| Edge::new(rng.gen_range(0..60), rng.gen_range(0..60)))
+            .collect();
+        let graph = InMemorySubgraph::from_edges(&edges);
+        let sampler = MultiHopSampler::new(vec![5, 4], SamplingDirection::Both);
+        let targets: Vec<u64> = (0..12).map(|_| rng.gen_range(0..60)).collect();
+        let mut dense = sampler.sample(&graph, &targets, &mut rng);
+        let mut contexts = vec![LayerContext::from_dense(&dense)];
+        dense.advance_layer();
+        contexts.push(LayerContext::from_dense(&dense));
+        let rows = contexts[0].num_input_rows;
+        let mut input = Tensor::zeros(rows, dim);
+        for x in input.data_mut() {
+            let v: f32 = rng.gen_range(-1.0..1.0);
+            *x = if v < -0.4 { 0.0 } else { v };
+        }
+        input.set(0, 0, -0.0);
+        (contexts, input)
+    }
+
+    /// Checks two tensors are equal bit for bit.
+    pub(crate) fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} ({x} vs {y})");
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! The crate implements the model zoo used throughout the paper's evaluation:
 //!
 //! * [`layers`] — GraphSage, GCN and GAT encoder layers whose forward pass
-//!   consumes the DENSE structure exactly as Algorithm 3 describes
-//!   (`index_select` + `segment_sum` over contiguous neighbour lists), and whose
-//!   backward passes are written by hand against the same kernels.
+//!   consumes the DENSE structure exactly as Algorithm 3 describes (a gather +
+//!   segment reduction over contiguous neighbour lists, fused into one kernel
+//!   for GraphSage and GCN), and whose backward passes are written by hand
+//!   against the adjoint kernels.
 //! * [`encoder::Encoder`] — a stack of layers driven by a DENSE sample: it
 //!   snapshots the per-layer views (Algorithm 2) so that forward and backward can
 //!   replay the same dataflow.

@@ -12,13 +12,17 @@
 //!   `nbrs[nbr_offsets[j] .. nbr_offsets[j + 1]]`.
 //! * `nbr_offsets` — the start of each node's neighbour list inside `nbrs`.
 //!
-//! A fifth array, `repr_map`, is added when the structure is "moved to the GPU"
-//! (passed to the GNN crate): it maps every `nbrs` entry to the row of the layer
+//! A fifth array, `repr_map`, maps every `nbrs` entry to the row of the layer
 //! input holding that node's current representation, which turns neighbourhood
-//! aggregation into `index_select` + `segment_sum` (Algorithm 3).
+//! aggregation into one fused gather + segment reduction (Algorithm 3,
+//! `marius_tensor::segment::gather_segment_sum`). The paper builds it on the
+//! GPU after the mini batch is transferred; here Algorithm 1 produces it on the
+//! sampling worker, because the dedup probe that decides whether a sampled
+//! neighbour is new already finds the neighbour's row. The compute stage
+//! receives a ready `repr_map`, and [`Dense::transfer_bytes`] still counts only
+//! the four paper arrays.
 
 use marius_graph::{NodeId, RelId};
-use std::collections::HashMap;
 
 /// Statistics about one multi-hop sample, reported in Table 6 of the paper.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -44,7 +48,7 @@ pub struct Dense {
     /// attention layers can use edge types without a second lookup.
     nbr_rels: Vec<RelId>,
     /// For each `nbrs` entry, the row index of that node inside `node_ids` /
-    /// the current layer-input matrix. Empty until [`Dense::build_repr_map`].
+    /// the current layer-input matrix.
     repr_map: Vec<usize>,
     stats: SampleStats,
 }
@@ -57,6 +61,7 @@ impl Dense {
         nbr_offsets: Vec<usize>,
         nbrs: Vec<NodeId>,
         nbr_rels: Vec<RelId>,
+        repr_map: Vec<usize>,
         one_hop_operations: usize,
     ) -> Self {
         let stats = SampleStats {
@@ -70,7 +75,7 @@ impl Dense {
             nbr_offsets,
             nbrs,
             nbr_rels,
-            repr_map: Vec::new(),
+            repr_map,
             stats,
         }
     }
@@ -108,7 +113,8 @@ impl Dense {
         &self.nbr_offsets
     }
 
-    /// The `repr_map` array (empty until [`Dense::build_repr_map`] is called).
+    /// The `repr_map` array: for every [`Dense::nbrs`] entry, the row of
+    /// [`Dense::node_ids`] (and of the current layer input) holding that node.
     pub fn repr_map(&self) -> &[usize] {
         &self.repr_map
     }
@@ -143,32 +149,6 @@ impl Dense {
         } else {
             self.node_id_offsets[1]
         }
-    }
-
-    /// Builds the `repr_map` array: for every `nbrs` entry, the row of
-    /// [`Dense::node_ids`] holding that node. In MariusGNN this happens on the GPU
-    /// right after the mini batch is transferred (paper §4.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a neighbour id does not appear in `node_ids`; Algorithm 1
-    /// guarantees it always does.
-    pub fn build_repr_map(&mut self) {
-        let position: HashMap<NodeId, usize> = self
-            .node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        self.repr_map = self
-            .nbrs
-            .iter()
-            .map(|n| {
-                *position
-                    .get(n)
-                    .expect("DENSE invariant violated: neighbour not present in node_ids")
-            })
-            .collect();
     }
 
     /// Algorithm 2: updates DENSE on the "GPU" after computing GNN layer `i`,
@@ -207,11 +187,9 @@ impl Dense {
         // Line 4-6 of Algorithm 2: trim the neighbour arrays and shift offsets.
         self.nbrs.drain(..delta_i_nbrs_len);
         self.nbr_rels.drain(..delta_i_nbrs_len);
-        if !self.repr_map.is_empty() {
-            self.repr_map.drain(..delta_i_nbrs_len);
-            for r in &mut self.repr_map {
-                *r -= delta_prev_len;
-            }
+        self.repr_map.drain(..delta_i_nbrs_len);
+        for r in &mut self.repr_map {
+            *r -= delta_prev_len;
         }
         self.nbr_offsets.drain(..delta_i_len);
         for o in &mut self.nbr_offsets {
@@ -292,15 +270,13 @@ impl Dense {
                 return Err(format!("neighbour {n} missing from node_ids"));
             }
         }
-        // repr_map, if built, must agree with node_ids.
-        if !self.repr_map.is_empty() {
-            if self.repr_map.len() != self.nbrs.len() {
-                return Err("repr_map length mismatch".into());
-            }
-            for (&r, &n) in self.repr_map.iter().zip(self.nbrs.iter()) {
-                if r >= self.node_ids.len() || self.node_ids[r] != n {
-                    return Err("repr_map does not point at the neighbour's row".into());
-                }
+        // repr_map must point every neighbour at its own row.
+        if self.repr_map.len() != self.nbrs.len() {
+            return Err("repr_map length mismatch".into());
+        }
+        for (&r, &n) in self.repr_map.iter().zip(self.nbrs.iter()) {
+            if r >= self.node_ids.len() || self.node_ids[r] != n {
+                return Err("repr_map does not point at the neighbour's row".into());
             }
         }
         Ok(())
@@ -310,6 +286,19 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Test oracle for the sampler-built `repr_map`: looks every neighbour up
+    /// in a position map over `node_ids`.
+    fn oracle_repr_map(dense: &Dense) -> Vec<usize> {
+        let position: HashMap<NodeId, usize> = dense
+            .node_ids()
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (n, i))
+            .collect();
+        dense.nbrs().iter().map(|n| position[n]).collect()
+    }
 
     /// Builds the Figure 3 example by hand:
     /// node_ids = [E, C, D, A, B] with Δ0 = {E}, Δ1 = {C, D}, Δ2 = {A, B};
@@ -325,6 +314,7 @@ mod tests {
             vec![0, 1, 2, 4],
             vec![e, c, c, d, c, a],
             vec![0; 6],
+            vec![0, 1, 1, 2, 1, 3],
             5,
         )
     }
@@ -344,17 +334,19 @@ mod tests {
     #[test]
     fn repr_map_points_at_node_rows() {
         let mut dense = figure3_dense();
-        dense.build_repr_map();
-        let map = dense.repr_map();
         // nbrs = [E, C, C, D, C, A] and node_ids = [E, C, D, A, B].
-        assert_eq!(map, &[0, 1, 1, 2, 1, 3]);
+        assert_eq!(dense.repr_map(), oracle_repr_map(&dense).as_slice());
         dense.validate().unwrap();
+        // A repr_map entry pointing at the wrong row is caught.
+        dense.repr_map[0] = 1;
+        assert!(dense.validate().is_err());
+        dense.repr_map.pop();
+        assert!(dense.validate().is_err());
     }
 
     #[test]
     fn advance_layer_matches_paper_walkthrough() {
         let mut dense = figure3_dense();
-        dense.build_repr_map();
         // After layer 1, node E and the neighbour lists of {C, D} are dropped.
         let removed = dense.advance_layer();
         assert_eq!(removed, 1); // len(Δ0)
@@ -366,6 +358,7 @@ mod tests {
         assert_eq!(dense.nbrs(), &[2, 3, 2, 0]);
         // repr_map entries now index into [C, D, A, B].
         assert_eq!(dense.repr_map(), &[0, 1, 0, 2]);
+        assert_eq!(dense.repr_map(), oracle_repr_map(&dense).as_slice());
         dense.validate().unwrap();
     }
 
@@ -381,19 +374,43 @@ mod tests {
 
     #[test]
     fn validate_catches_duplicates() {
-        let d = Dense::from_parts(vec![0, 1], vec![5, 5], vec![0], vec![5], vec![0], 1);
+        let d = Dense::from_parts(
+            vec![0, 1],
+            vec![5, 5],
+            vec![0],
+            vec![5],
+            vec![0],
+            vec![0],
+            1,
+        );
         assert!(d.validate().is_err());
     }
 
     #[test]
     fn validate_catches_missing_neighbor() {
-        let d = Dense::from_parts(vec![0, 1], vec![1, 2], vec![0], vec![9], vec![0], 1);
+        let d = Dense::from_parts(
+            vec![0, 1],
+            vec![1, 2],
+            vec![0],
+            vec![9],
+            vec![0],
+            vec![0],
+            1,
+        );
         assert!(d.validate().is_err());
     }
 
     #[test]
     fn validate_catches_bad_offsets() {
-        let d = Dense::from_parts(vec![0, 5], vec![1, 2], vec![0], vec![1], vec![0], 1);
+        let d = Dense::from_parts(
+            vec![0, 5],
+            vec![1, 2],
+            vec![0],
+            vec![1],
+            vec![0],
+            vec![0],
+            1,
+        );
         assert!(d.validate().is_err());
     }
 
@@ -404,7 +421,7 @@ mod tests {
 
     #[test]
     fn empty_dense_edge_cases() {
-        let d = Dense::from_parts(vec![0], vec![], vec![], vec![], vec![], 0);
+        let d = Dense::from_parts(vec![0], vec![], vec![], vec![], vec![], vec![], 0);
         assert_eq!(d.num_layers(), 0);
         assert!(d.target_nodes().is_empty());
         assert_eq!(d.self_offset(), 0);

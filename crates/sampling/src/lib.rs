@@ -5,11 +5,12 @@
 //! and consume it:
 //!
 //! * [`Dense`] — the four arrays of Figure 3 (`node_id_offsets`, `node_ids`,
-//!   `nbr_offsets`, `nbrs`) plus the GPU-side `repr_map`, with
+//!   `nbr_offsets`, `nbrs`) plus the `repr_map` the GNN layers gather with, with
 //!   [`Dense::advance_layer`] implementing Algorithm 2 (the per-layer update).
 //! * [`MultiHopSampler`] — Algorithm 1: builds DENSE for a set of target nodes by
 //!   sampling one-hop neighbours **only for nodes not already present** in the
-//!   structure, reusing earlier samples across layers.
+//!   structure, reusing earlier samples across layers, and assembles the
+//!   `repr_map` from the same dedup probes.
 //! * [`negative`] — negative sampling for link-prediction training and the
 //!   ranking protocol used to compute MRR.
 //!

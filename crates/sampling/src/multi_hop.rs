@@ -12,7 +12,17 @@ use marius_graph::{InMemorySubgraph, NodeId, RelId};
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+/// One hop of Algorithm 1: the neighbour lists sampled for one `Δ`, and for
+/// each neighbour the index at which the sample first reached it.
+struct HopSample {
+    nbrs: Vec<NodeId>,
+    rels: Vec<RelId>,
+    offsets: Vec<usize>,
+    discovery: Vec<usize>,
+}
 
 /// Which adjacency direction to sample neighbours from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,70 +83,85 @@ impl MultiHopSampler {
     /// Builds the DENSE structure for `target_nodes` over the in-memory subgraph
     /// (Algorithm 1). Duplicate targets are de-duplicated; the order of first
     /// appearance is preserved.
+    ///
+    /// The dedup probe of every sampled neighbour also yields the order in
+    /// which that neighbour was first reached, which fixes its row in
+    /// `node_ids`, so the `repr_map` is assembled here in one linear pass
+    /// rather than rebuilt on the compute side.
     pub fn sample<R: Rng + ?Sized>(
         &self,
         graph: &InMemorySubgraph,
         target_nodes: &[NodeId],
         rng: &mut R,
     ) -> Dense {
+        // Every node in discovery order: the targets (Δk), then each new Δ as
+        // Algorithm 1 reaches it. `seen` maps a node to its discovery index,
+        // and Δ group g is reached[group_bounds[g]..group_bounds[g + 1]].
+        let mut seen: HashMap<NodeId, usize> = HashMap::with_capacity(target_nodes.len() * 4);
+        let mut reached: Vec<NodeId> = Vec::with_capacity(target_nodes.len() * 4);
         // Line 1-2: initialise with the (unique) target nodes as Δk.
-        let mut seen: HashSet<NodeId> = HashSet::with_capacity(target_nodes.len() * 4);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(target_nodes.len());
         for &t in target_nodes {
-            if seen.insert(t) {
-                targets.push(t);
+            if let Entry::Vacant(slot) = seen.entry(t) {
+                slot.insert(reached.len());
+                reached.push(t);
             }
         }
-
-        let mut node_id_offsets: Vec<usize> = vec![0];
-        let mut node_ids: Vec<NodeId> = targets.clone();
-        let mut nbr_offsets: Vec<usize> = Vec::new();
-        let mut nbrs: Vec<NodeId> = Vec::new();
-        let mut nbr_rels: Vec<RelId> = Vec::new();
-        let mut delta: Vec<NodeId> = targets;
+        let mut group_bounds = vec![0, reached.len()];
+        let mut hops: Vec<HopSample> = Vec::with_capacity(self.fanouts.len());
         let mut one_hop_operations = 0usize;
 
         // Line 3: k rounds, hop 0 expands the targets.
-        for hop in 0..self.fanouts.len() {
-            let fanout = self.fanouts[hop];
+        for (hop, &fanout) in self.fanouts.iter().enumerate() {
+            let delta = &reached[group_bounds[hop]..group_bounds[hop + 1]];
             one_hop_operations += delta.len();
 
             // Line 4: one-hop sample for the current Δ only.
-            let (delta_nbrs, delta_rels, delta_offsets) = self.one_hop(graph, &delta, fanout, rng);
-
-            // Line 5-6: prepend the new neighbour lists.
-            for o in &mut nbr_offsets {
-                *o += delta_nbrs.len();
-            }
-            let mut new_offsets = delta_offsets;
-            new_offsets.extend_from_slice(&nbr_offsets);
-            nbr_offsets = new_offsets;
-
-            let mut new_nbrs = delta_nbrs.clone();
-            new_nbrs.extend_from_slice(&nbrs);
-            nbrs = new_nbrs;
-            let mut new_rels = delta_rels;
-            new_rels.extend_from_slice(&nbr_rels);
-            nbr_rels = new_rels;
+            let (nbrs, rels, offsets) = self.one_hop(graph, delta, fanout, rng);
 
             // Line 7: the next Δ is every sampled neighbour not yet present.
-            let mut next_delta: Vec<NodeId> = Vec::new();
-            for &n in &delta_nbrs {
-                if seen.insert(n) {
-                    next_delta.push(n);
-                }
-            }
+            let discovery = nbrs
+                .iter()
+                .map(|&n| {
+                    *seen.entry(n).or_insert_with(|| {
+                        reached.push(n);
+                        reached.len() - 1
+                    })
+                })
+                .collect();
+            group_bounds.push(reached.len());
+            hops.push(HopSample {
+                nbrs,
+                rels,
+                offsets,
+                discovery,
+            });
+        }
 
-            // Line 8-9: prepend the new Δ to node_ids and re-base the offsets.
-            for o in &mut node_id_offsets {
-                *o += next_delta.len();
+        // Lines 5-6 and 8-9, applied once: the deepest Δ comes first in
+        // node_ids and the deepest hop's neighbour lists first in nbrs.
+        // `row[d]` is the node_ids row of the node discovered d-th.
+        let mut node_id_offsets = Vec::with_capacity(group_bounds.len() - 1);
+        let mut node_ids = Vec::with_capacity(reached.len());
+        let mut row = vec![0usize; reached.len()];
+        for bounds in group_bounds.windows(2).rev() {
+            node_id_offsets.push(node_ids.len());
+            for d in bounds[0]..bounds[1] {
+                row[d] = node_ids.len();
+                node_ids.push(reached[d]);
             }
-            node_id_offsets.insert(0, 0);
-            let mut new_node_ids = next_delta.clone();
-            new_node_ids.extend_from_slice(&node_ids);
-            node_ids = new_node_ids;
-
-            delta = next_delta;
+        }
+        let num_edges: usize = hops.iter().map(|h| h.nbrs.len()).sum();
+        let owners = group_bounds[group_bounds.len() - 2];
+        let mut nbr_offsets = Vec::with_capacity(owners);
+        let mut nbrs = Vec::with_capacity(num_edges);
+        let mut nbr_rels = Vec::with_capacity(num_edges);
+        let mut repr_map = Vec::with_capacity(num_edges);
+        for hop in hops.into_iter().rev() {
+            let base = nbrs.len();
+            nbr_offsets.extend(hop.offsets.iter().map(|o| base + o));
+            repr_map.extend(hop.discovery.iter().map(|&d| row[d]));
+            nbrs.extend(hop.nbrs);
+            nbr_rels.extend(hop.rels);
         }
 
         Dense::from_parts(
@@ -145,6 +170,7 @@ impl MultiHopSampler {
             nbr_offsets,
             nbrs,
             nbr_rels,
+            repr_map,
             one_hop_operations,
         )
     }

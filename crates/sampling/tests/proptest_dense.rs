@@ -6,7 +6,15 @@ use marius_sampling::{MultiHopSampler, SamplingDirection};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+
+/// Test-local reference for the sampler-built `repr_map`: a position map over
+/// `node_ids`, looked up for every neighbour.
+fn reference_repr_map(node_ids: &[NodeId], nbrs: &[NodeId]) -> Vec<usize> {
+    let position: HashMap<NodeId, usize> =
+        node_ids.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    nbrs.iter().map(|n| position[n]).collect()
+}
 
 /// Strategy: a random small directed graph as an edge list.
 fn random_edges() -> impl Strategy<Value = Vec<Edge>> {
@@ -30,8 +38,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every DENSE sample satisfies the structural invariants checked by
-    /// `Dense::validate`, before and after building the repr_map, and the
-    /// target group always equals the (deduplicated) requested targets.
+    /// `Dense::validate` (the sampler-built repr_map included), and the target
+    /// group always equals the (deduplicated) requested targets.
     #[test]
     fn dense_invariants_hold_for_random_graphs(
         edges in random_edges(),
@@ -43,10 +51,8 @@ proptest! {
         let graph = InMemorySubgraph::from_edges(&edges);
         let sampler = MultiHopSampler::new(fanouts.clone(), direction);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut dense = sampler.sample(&graph, &targets, &mut rng);
+        let dense = sampler.sample(&graph, &targets, &mut rng);
         prop_assert!(dense.validate().is_ok(), "{:?}", dense.validate());
-        dense.build_repr_map();
-        prop_assert!(dense.validate().is_ok());
 
         // Targets are preserved (first occurrence order, deduplicated).
         let mut seen = HashSet::new();
@@ -95,7 +101,6 @@ proptest! {
         let sampler = MultiHopSampler::new(vec![3, 3, 3], SamplingDirection::Both);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut dense = sampler.sample(&graph, &targets, &mut rng);
-        dense.build_repr_map();
         let target_count = dense.target_nodes().len();
         for _ in 0..2 {
             dense.advance_layer();
@@ -118,5 +123,35 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let dense = sampler.sample(&graph, &targets, &mut rng);
         prop_assert!(dense.stats().one_hop_operations <= dense.node_ids().len());
+    }
+
+    /// The repr_map Algorithm 1 assembles from its dedup probes equals a
+    /// position lookup over `node_ids`, for random graphs, duplicate targets,
+    /// every sampling direction, serial and parallel one-hop sampling, and
+    /// after every `advance_layer`.
+    #[test]
+    fn sampler_repr_map_matches_position_reference(
+        edges in random_edges(),
+        targets in proptest::collection::vec(0u64..40, 1..24),
+        fanouts in proptest::collection::vec(1usize..6, 1..4),
+        direction in direction_strategy(),
+        threads in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        let graph = InMemorySubgraph::from_edges(&edges);
+        let sampler = MultiHopSampler::new(fanouts.clone(), direction).with_parallelism(threads);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut dense = sampler.sample(&graph, &targets, &mut rng);
+        for layer in 0..fanouts.len() {
+            prop_assert_eq!(dense.repr_map().len(), dense.nbrs().len());
+            prop_assert_eq!(
+                dense.repr_map(),
+                reference_repr_map(dense.node_ids(), dense.nbrs()).as_slice(),
+                "layer {}", layer
+            );
+            if layer + 1 < fanouts.len() {
+                dense.advance_layer();
+            }
+        }
     }
 }

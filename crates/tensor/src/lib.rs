@@ -4,8 +4,10 @@
 //! GPU kernels (cuBLAS GEMM, segment reductions, gathers). This crate provides the
 //! equivalent operations on the CPU so that the rest of the reproduction can express
 //! the exact same dataflow: the DENSE data structure produced by the sampler is
-//! consumed by [`segment::segment_sum`] / [`segment::index_select`] style kernels
-//! exactly as described in Algorithm 3 of the paper.
+//! consumed by the fused gather + segment-reduce kernels of Algorithm 3
+//! ([`segment::gather_segment_sum`], [`segment::segment_scatter_add`]), which
+//! keep the summation order of the unfused [`segment::index_select`] →
+//! [`segment::segment_sum`] chain bit for bit.
 //!
 //! The crate deliberately keeps the tensor model simple:
 //!

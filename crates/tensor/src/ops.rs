@@ -21,32 +21,58 @@ impl Tensor {
 
     /// Fallible matrix multiplication.
     pub fn try_matmul(&self, other: &Tensor) -> Result<Tensor> {
+        self.matmul_from_row(0, other)
+    }
+
+    /// Multiplies the rows `start..` of `self` by `other`, reading them in
+    /// place: `self[start..] (m x k) * other (k x n) -> (m x n)`. Bit-identical
+    /// to `self.slice_rows(start, self.rows())?.matmul(other)`.
+    pub fn matmul_from_row(&self, start: usize, other: &Tensor) -> Result<Tensor> {
+        let a = self.rows_from(start, "matmul")?;
         if self.cols() != other.rows() {
             return Err(TensorError::ShapeMismatch {
-                lhs: self.shape(),
+                lhs: (self.rows() - start, self.cols()),
                 rhs: other.shape(),
                 op: "matmul",
             });
         }
-        let (m, k) = self.shape();
-        let n = other.cols();
-        let mut out = Tensor::zeros(m, n);
-        // Classic ikj loop order: the innermost loop walks both `other` and `out`
-        // rows contiguously which is the cache-friendly order for row-major data.
-        for i in 0..m {
-            let a_row = self.row(i);
-            for (p, &a) in a_row.iter().enumerate().take(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(p);
-                let out_row = out.row_mut(i);
-                for j in 0..n {
-                    out_row[j] += a * b_row[j];
-                }
-            }
-        }
+        let mut out = Tensor::zeros(self.rows() - start, other.cols());
+        gemm_acc(a, self.cols(), other.data(), other.cols(), out.data_mut());
         Ok(out)
+    }
+
+    /// Transpose-free `selfᵀ (k x m) * other (m x n) -> (k x n)`, the weight
+    /// gradient GEMM. Bit-identical to `self.transpose().matmul(other)`.
+    pub fn transpose_matmul(&self, other: &Tensor) -> Result<Tensor> {
+        self.transpose_matmul_from_row(0, other)
+    }
+
+    /// [`Tensor::transpose_matmul`] of the rows `start..` of `self`, read in
+    /// place: `self[start..]ᵀ * other`.
+    pub fn transpose_matmul_from_row(&self, start: usize, other: &Tensor) -> Result<Tensor> {
+        let a = self.rows_from(start, "transpose_matmul")?;
+        if self.rows() - start != other.rows() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: (self.cols(), self.rows() - start),
+                rhs: other.shape(),
+                op: "transpose_matmul",
+            });
+        }
+        let mut out = Tensor::zeros(self.cols(), other.cols());
+        gemm_tn_acc(a, self.cols(), other.data(), other.cols(), out.data_mut());
+        Ok(out)
+    }
+
+    /// The row-major data of rows `start..`.
+    fn rows_from(&self, start: usize, op: &'static str) -> Result<&[f32]> {
+        if start > self.rows() {
+            return Err(TensorError::IndexOutOfBounds {
+                index: start,
+                bound: self.rows(),
+                op,
+            });
+        }
+        Ok(&self.data()[start * self.cols()..])
     }
 
     /// Element-wise addition.
@@ -265,6 +291,134 @@ impl Tensor {
             .map(|(a, b)| f(*a, *b))
             .collect();
         Ok(Tensor::from_vec(data, self.rows(), self.cols()))
+    }
+}
+
+/// `out (m x n) += a (m x k) * b (k x n)` over row-major slices, in ikj
+/// order: each output element sums its products in ascending `p`, starting
+/// from the value already in `out`. A zero `a[i][p]` contributes nothing, not
+/// even `0 * inf = NaN` or the sign of `0 * -x`; the skip is part of the
+/// result's bits, so every GEMM here keeps it.
+fn gemm_acc(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    match n {
+        8 => gemm_acc_in_registers::<8>(a, k, b, out, many_zeros(a)),
+        16 => gemm_acc_in_registers::<16>(a, k, b, out, many_zeros(a)),
+        _ => {
+            for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                for (&x, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+                    if x != 0.0 {
+                        axpy(x, b_row, out_row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`gemm_acc`] for outputs `N` wide, which keeps each output row in
+/// registers while it sums over `p` (same per-element order and zero skip).
+fn gemm_acc_in_registers<const N: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    out: &mut [f32],
+    branch_free: bool,
+) {
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(N)) {
+        let mut acc = lanes::<N>(out_row);
+        for (&x, b_row) in a_row.iter().zip(b.chunks_exact(N)) {
+            madd_unless_zero(&mut acc, x, b_row, branch_free);
+        }
+        out_row.copy_from_slice(&acc);
+    }
+}
+
+/// `out (k x n) += aᵀ * b` for `a (m x k)` and `b (m x n)`: every output
+/// element still sums its products in ascending `p` with the zero skip of
+/// [`gemm_acc`].
+fn gemm_tn_acc(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    match n {
+        8 => gemm_tn_acc_in_registers::<8>(a, k, b, out, many_zeros(a)),
+        16 => gemm_tn_acc_in_registers::<16>(a, k, b, out, many_zeros(a)),
+        // One rank-1 update per shared row p.
+        _ => {
+            for (a_row, b_row) in a.chunks_exact(k).zip(b.chunks_exact(n)) {
+                for (&x, out_row) in a_row.iter().zip(out.chunks_exact_mut(n)) {
+                    if x != 0.0 {
+                        axpy(x, b_row, out_row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Shared rows per tile of [`gemm_tn_acc_in_registers`]: the tile of `b`
+/// (8 KiB at `N = 8`) stays in L1 while the `k` output rows sweep it.
+const TN_TILE_ROWS: usize = 256;
+
+/// [`gemm_tn_acc`] for outputs `N` wide: output row `i` is summed in
+/// registers over a tile of shared rows, tile after tile, so each element
+/// still adds its products in ascending `p`.
+fn gemm_tn_acc_in_registers<const N: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    out: &mut [f32],
+    branch_free: bool,
+) {
+    for (a_tile, b_tile) in a.chunks(TN_TILE_ROWS * k).zip(b.chunks(TN_TILE_ROWS * N)) {
+        for (i, out_row) in out.chunks_exact_mut(N).enumerate() {
+            let mut acc = lanes::<N>(out_row);
+            for (a_row, b_row) in a_tile.chunks_exact(k).zip(b_tile.chunks_exact(N)) {
+                madd_unless_zero(&mut acc, a_row[i], b_row, branch_free);
+            }
+            out_row.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// Whether more than an eighth of `a` is zero, as in a ReLU-masked operand
+/// (about half zeros, in no predictable pattern). A branch on each entry of
+/// such an operand mispredicts often enough to triple a GEMM's time, so the
+/// register kernels then skip zeros with a select instead; on an operand with
+/// few zeros the branch is predicted and cheaper than the select.
+fn many_zeros(a: &[f32]) -> bool {
+    a.iter().filter(|&&x| x == 0.0).count() * 8 > a.len()
+}
+
+/// `acc += x * b_row`, unless `x` is zero: with a branch, or with a select
+/// when `branch_free`. Both skip exactly the same products.
+#[inline(always)]
+fn madd_unless_zero<const N: usize>(acc: &mut [f32; N], x: f32, b_row: &[f32], branch_free: bool) {
+    let b_row: &[f32; N] = b_row.try_into().expect("row is N wide");
+    if branch_free {
+        let mut next = *acc;
+        axpy(x, b_row, &mut next);
+        *acc = std::hint::select_unpredictable(x != 0.0, next, *acc);
+    } else if x != 0.0 {
+        axpy(x, b_row, acc);
+    }
+}
+
+/// Copies an `N`-wide row into a fixed-size array the compiler can keep in
+/// registers.
+#[inline(always)]
+pub(crate) fn lanes<const N: usize>(row: &[f32]) -> [f32; N] {
+    row.try_into().expect("row is N wide")
+}
+
+/// `dst += x * src`, element by element.
+#[inline(always)]
+fn axpy(x: f32, src: &[f32], dst: &mut [f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += x * s;
     }
 }
 

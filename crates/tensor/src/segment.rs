@@ -2,13 +2,25 @@
 //!
 //! The DENSE data structure stores the one-hop neighbours of every node
 //! *contiguously*, separated by an offsets array. That layout turns neighbourhood
-//! aggregation into a *dense segment reduction*: select the neighbour
-//! representations with [`index_select`], then reduce each contiguous segment with
-//! [`segment_sum`] / [`segment_mean`] / [`segment_max`]. These are exactly the
-//! kernels MariusGNN runs on the GPU; here they run on the CPU over the same data
-//! layout.
+//! aggregation into a *dense segment reduction* over the rows the `repr_map`
+//! selects. MariusGNN runs it on the GPU as a gather followed by a segment
+//! reduce; here it runs on the CPU as one fused kernel per direction:
+//!
+//! * [`gather_segment_sum`] / [`gather_segment_mean`] add each segment's
+//!   selected input rows straight into its zero-initialised output row, so the
+//!   one-row-per-edge neighbour matrix is never materialised.
+//! * [`segment_scatter_add`], the adjoint, adds each segment's gradient row
+//!   straight into the input-gradient rows the segment selected.
+//!
+//! Both add rows in exactly the order of the unfused chains they replace
+//! ([`index_select`] → [`segment_sum`] / [`segment_mean`], and
+//! [`segment_expand`] → [`index_add`]), so their results are bit-identical to
+//! them; the unfused kernels stay as the reference tier and for GAT, whose
+//! per-edge attention weights need the gathered rows.
 
+use crate::ops::lanes;
 use crate::{Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Gathers rows of `input` according to `indices`, producing one output row per
 /// index (PyTorch's `index_select` over dimension 0).
@@ -86,6 +98,139 @@ fn validate_offsets(offsets: &[usize], len: usize) -> Result<()> {
         prev = o;
     }
     Ok(())
+}
+
+/// The rows of every segment: segment `s` covers `[offsets[s], offsets[s+1])`
+/// and the final segment ends at `len`. `offsets` must be validated.
+fn segment_ranges(offsets: &[usize], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    offsets
+        .iter()
+        .enumerate()
+        .map(move |(s, &start)| start..offsets.get(s + 1).copied().unwrap_or(len))
+}
+
+/// Checks every index against `bound`, so a fused kernel fails exactly where
+/// its unfused chain would, wherever in `indices` the bad entry sits.
+fn check_indices(indices: &[usize], bound: usize, op: &'static str) -> Result<()> {
+    match indices.iter().find(|&&i| i >= bound) {
+        Some(&index) => Err(TensorError::IndexOutOfBounds { index, bound, op }),
+        None => Ok(()),
+    }
+}
+
+/// Fused gather + segment sum (Algorithm 3): output row `s` is the sum of the
+/// `input` rows `indices[r]` for `r` in segment `s`, added in order into a zero
+/// row. Bit-identical to `segment_sum(&index_select(input, indices)?, offsets)`.
+///
+/// # Examples
+///
+/// ```
+/// use marius_tensor::Tensor;
+/// use marius_tensor::segment::gather_segment_sum;
+///
+/// let h = Tensor::from_rows(&[&[1.0], &[10.0], &[100.0]]);
+/// // Segment 0 gathers rows [2, 0], segment 1 is empty, segment 2 gathers [1].
+/// let out = gather_segment_sum(&h, &[2, 0, 1], &[0, 2, 2]).unwrap();
+/// assert_eq!(out.data(), &[101.0, 0.0, 10.0]);
+/// ```
+pub fn gather_segment_sum(input: &Tensor, indices: &[usize], offsets: &[usize]) -> Result<Tensor> {
+    gather_segments(input, indices, offsets, false)
+}
+
+/// Fused gather + segment mean: [`gather_segment_sum`], then each segment of
+/// more than one row is scaled by the reciprocal of its length. Bit-identical
+/// to `segment_mean(&index_select(input, indices)?, offsets)`.
+pub fn gather_segment_mean(input: &Tensor, indices: &[usize], offsets: &[usize]) -> Result<Tensor> {
+    gather_segments(input, indices, offsets, true)
+}
+
+fn gather_segments(
+    input: &Tensor,
+    indices: &[usize],
+    offsets: &[usize],
+    mean: bool,
+) -> Result<Tensor> {
+    validate_offsets(offsets, indices.len())?;
+    check_indices(indices, input.rows(), "gather_segment")?;
+    let cols = input.cols();
+    let mut out = Tensor::zeros(offsets.len(), cols);
+    if cols == 0 {
+        return Ok(out);
+    }
+    let rows = out.data_mut().chunks_exact_mut(cols);
+    for (out_row, range) in rows.zip(segment_ranges(offsets, indices.len())) {
+        let len = range.len();
+        let selected = &indices[range];
+        match cols {
+            8 => sum_rows_in_registers::<8>(input, selected, out_row),
+            16 => sum_rows_in_registers::<16>(input, selected, out_row),
+            _ => {
+                for &idx in selected {
+                    for (o, &x) in out_row.iter_mut().zip(input.row(idx)) {
+                        *o += x;
+                    }
+                }
+            }
+        }
+        if mean && len > 1 {
+            let inv = 1.0 / len as f32;
+            for o in out_row {
+                *o *= inv;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Adds the `input` rows `selected`, in order, into the `N`-wide `out_row`,
+/// keeping the running sum in registers.
+fn sum_rows_in_registers<const N: usize>(input: &Tensor, selected: &[usize], out_row: &mut [f32]) {
+    let mut acc = lanes::<N>(out_row);
+    for &idx in selected {
+        for (o, &x) in acc.iter_mut().zip(input.row(idx)) {
+            *o += x;
+        }
+    }
+    out_row.copy_from_slice(&acc);
+}
+
+/// Fused segment scatter-add, the adjoint of [`gather_segment_sum`]: adds
+/// gradient row `s` of `seg_grad` into row `indices[r]` of a zero
+/// `(num_rows, seg_grad.cols())` accumulator for every `r` in segment `s`, in
+/// ascending `r`. Bit-identical to
+/// `index_add(num_rows, cols, indices, &segment_expand(seg_grad, offsets, indices.len())?)`.
+pub fn segment_scatter_add(
+    num_rows: usize,
+    seg_grad: &Tensor,
+    indices: &[usize],
+    offsets: &[usize],
+) -> Result<Tensor> {
+    validate_offsets(offsets, indices.len())?;
+    if seg_grad.rows() != offsets.len() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: (offsets.len(), seg_grad.cols()),
+            rhs: seg_grad.shape(),
+            op: "segment_scatter_add",
+        });
+    }
+    check_indices(indices, num_rows, "segment_scatter_add")?;
+    let cols = seg_grad.cols();
+    let mut out = Tensor::zeros(num_rows, cols);
+    if cols == 0 {
+        return Ok(out);
+    }
+    // Rows before offsets[0] belong to no segment. The unfused chain adds a
+    // +0.0 row for each of them before anything else, while every accumulator
+    // is still +0.0, which changes nothing, so they are skipped.
+    let grads = seg_grad.data().chunks_exact(cols);
+    for (g, range) in grads.zip(segment_ranges(offsets, indices.len())) {
+        for &idx in &indices[range] {
+            for (o, &x) in out.row_mut(idx).iter_mut().zip(g) {
+                *o += x;
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Dense segment sum: reduces contiguous row segments of `input` by addition.

@@ -1,10 +1,13 @@
 //! Property-based tests for the dense kernels: algebraic identities that must
-//! hold for arbitrary shapes and values.
+//! hold for arbitrary shapes and values, and bit-for-bit oracles pinning the
+//! fused Algorithm 3 kernels and the GEMMs to the reference kernels they
+//! replace.
 
 use marius_tensor::segment::{
-    index_add, index_select, segment_expand, segment_mean, segment_softmax, segment_sum,
+    gather_segment_mean, gather_segment_sum, index_add, index_select, segment_expand, segment_mean,
+    segment_scatter_add, segment_softmax, segment_sum,
 };
-use marius_tensor::Tensor;
+use marius_tensor::{Tensor, TensorError};
 use proptest::prelude::*;
 
 /// Strategy: a small tensor with the given number of rows.
@@ -27,6 +30,217 @@ fn offsets_for(len: usize) -> impl Strategy<Value = Vec<usize>> {
         }
         v
     })
+}
+
+/// Strategy: one element, about a third of them zero (as in a ReLU-masked
+/// operand), with −0.0, NaN, ±inf and a subnormal mixed in.
+fn element() -> impl Strategy<Value = f32> {
+    (0u32..40, -10.0f32..10.0).prop_map(|(kind, v)| match kind {
+        0..=12 => 0.0,
+        13 => -0.0,
+        14 => f32::NAN,
+        15 => f32::INFINITY,
+        16 => f32::NEG_INFINITY,
+        17 => 1e-40,
+        _ => v,
+    })
+}
+
+/// Strategy: a `rows x cols` tensor of [`element`]s.
+fn special_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
+    proptest::collection::vec(element(), rows * cols)
+        .prop_map(move |data| Tensor::from_vec(data, rows, cols))
+}
+
+/// Strategy: a column count, including zero and the widths the GEMMs keep in
+/// registers (8 and 16).
+fn width() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..4, Just(8usize), Just(16usize), 5usize..13]
+}
+
+/// Strategy: a valid offsets array over `len` rows (0 to 5 segments; the first
+/// may start after row 0, and segments may be empty).
+fn loose_offsets(len: usize) -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..=len, 0..6).prop_map(|mut v| {
+        v.sort_unstable();
+        v
+    })
+}
+
+/// The shape and exact bits of a tensor, every NaN read as one canonical NaN:
+/// Rust leaves the sign and payload of a NaN produced by arithmetic
+/// unspecified (an optimised build may commute `x + y` and propagate the other
+/// operand's NaN), so only NaN-ness is part of a kernel's contract.
+fn bits(t: &Tensor) -> ((usize, usize), Vec<u32>) {
+    let canonical = |x: &f32| {
+        if x.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    (t.shape(), t.data().iter().map(canonical).collect())
+}
+
+/// Naive reference GEMM: a triple loop summing each element's products in
+/// ascending `p` from +0.0, skipping zero left-hand entries.
+fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f32;
+            for p in 0..a.cols() {
+                let x = a.get(i, p);
+                if x == 0.0 {
+                    continue;
+                }
+                acc += x * b.get(p, j);
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+/// Naive reference `aᵀ · b`.
+fn naive_transpose_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    naive_matmul(&a.transpose(), b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fused gather + segment sum / mean equals index_select followed by
+    /// segment_sum / segment_mean, bit for bit.
+    #[test]
+    fn fused_gather_segment_matches_unfused_chain(
+        (input, indices, offsets) in (0usize..8, width(), 0usize..24).prop_flat_map(|(r, c, e)| {
+            // An input without rows can only be gathered from by no index.
+            let e = if r == 0 { 0 } else { e };
+            (special_tensor(r, c), proptest::collection::vec(0..r.max(1), e), loose_offsets(e))
+        }),
+    ) {
+        let gathered = index_select(&input, &indices).unwrap();
+        let sum = gather_segment_sum(&input, &indices, &offsets).unwrap();
+        prop_assert_eq!(bits(&sum), bits(&segment_sum(&gathered, &offsets).unwrap()));
+        let mean = gather_segment_mean(&input, &indices, &offsets).unwrap();
+        prop_assert_eq!(bits(&mean), bits(&segment_mean(&gathered, &offsets).unwrap()));
+    }
+
+    /// The fused segment scatter-add equals segment_expand followed by
+    /// index_add, bit for bit.
+    #[test]
+    fn fused_segment_scatter_add_matches_unfused_chain(
+        (num_rows, seg_grad, indices, offsets) in (1usize..8, width(), 0usize..24)
+            .prop_flat_map(|(r, c, e)| {
+                (Just(r), Just(c), proptest::collection::vec(0..r, e), loose_offsets(e))
+            })
+            .prop_flat_map(|(r, c, idx, offsets)| {
+                (Just(r), special_tensor(offsets.len(), c), Just(idx), Just(offsets))
+            }),
+    ) {
+        let cols = seg_grad.cols();
+        let expanded = segment_expand(&seg_grad, &offsets, indices.len()).unwrap();
+        let unfused = index_add(num_rows, cols, &indices, &expanded).unwrap();
+        let fused = segment_scatter_add(num_rows, &seg_grad, &indices, &offsets).unwrap();
+        prop_assert_eq!(bits(&fused), bits(&unfused));
+    }
+
+    /// `matmul` and `matmul_from_row` equal a naive triple loop, bit for bit.
+    #[test]
+    fn matmul_matches_naive_reference(
+        (a, b, start) in (0usize..7, 0usize..10, width()).prop_flat_map(|(m, k, n)| {
+            (special_tensor(m, k), special_tensor(k, n), 0..=m)
+        }),
+    ) {
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+        let tail = a.slice_rows(start, a.rows()).unwrap();
+        prop_assert_eq!(
+            bits(&a.matmul_from_row(start, &b).unwrap()),
+            bits(&naive_matmul(&tail, &b))
+        );
+    }
+
+    /// `transpose_matmul` and `transpose_matmul_from_row` equal the naive
+    /// reference and `transpose().matmul()`, bit for bit.
+    #[test]
+    fn transpose_matmul_matches_reference(
+        (a, b, head) in (0usize..7, 0usize..10, width()).prop_flat_map(|(m, k, n)| {
+            (0..=m).prop_flat_map(move |tail| {
+                (special_tensor(m, k), special_tensor(tail, n), Just(m - tail))
+            })
+        }),
+    ) {
+        let tail = a.slice_rows(head, a.rows()).unwrap();
+        let expected = bits(&naive_transpose_matmul(&tail, &b));
+        prop_assert_eq!(
+            bits(&a.transpose_matmul_from_row(head, &b).unwrap()),
+            expected.clone()
+        );
+        prop_assert_eq!(bits(&tail.transpose_matmul(&b).unwrap()), expected.clone());
+        prop_assert_eq!(bits(&tail.transpose().matmul(&b)), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `transpose_matmul` over enough shared rows to span several tiles of its
+    /// register kernel equals `transpose().matmul()`, bit for bit.
+    #[test]
+    fn transpose_matmul_matches_reference_across_tiles(
+        (a, b) in (250usize..700, 1usize..5, prop_oneof![Just(8usize), Just(16usize), 1usize..12])
+            .prop_flat_map(|(m, k, n)| (special_tensor(m, k), special_tensor(m, n))),
+    ) {
+        prop_assert_eq!(
+            bits(&a.transpose_matmul(&b).unwrap()),
+            bits(&a.transpose().matmul(&b))
+        );
+    }
+
+    /// Out-of-range indices, non-monotone or oversized offsets, and a gradient
+    /// with the wrong number of segment rows return typed errors, never panic.
+    #[test]
+    fn fused_kernels_reject_bad_input_with_typed_errors(
+        (rows, indices, bad_at, offsets, cut) in (1usize..6, 1usize..12).prop_flat_map(|(r, e)| {
+            (Just(r), proptest::collection::vec(0..r, e), 0..e, loose_offsets(e), 0usize..3)
+        }),
+    ) {
+        let input = Tensor::ones(rows, 3);
+        let seg_grad = Tensor::ones(offsets.len(), 3);
+        let e = indices.len();
+
+        // One index past the end, anywhere in the list.
+        let mut out_of_range = indices.clone();
+        out_of_range[bad_at] = rows + bad_at;
+        let is_index_error = |r: Result<Tensor, TensorError>| {
+            matches!(r, Err(TensorError::IndexOutOfBounds { .. }))
+        };
+        prop_assert!(is_index_error(gather_segment_sum(&input, &out_of_range, &offsets)));
+        prop_assert!(is_index_error(gather_segment_mean(&input, &out_of_range, &offsets)));
+        prop_assert!(is_index_error(segment_scatter_add(rows, &seg_grad, &out_of_range, &offsets)));
+
+        // Offsets that decrease, or run past the indices.
+        let is_offsets_error =
+            |r: Result<Tensor, TensorError>| matches!(r, Err(TensorError::InvalidOffsets { .. }));
+        let mut decreasing = offsets.clone();
+        decreasing.push(e);
+        decreasing.push(cut.min(e.saturating_sub(1)));
+        let oversized = vec![0, e + 1 + cut];
+        for bad in [&decreasing, &oversized] {
+            let grad = Tensor::ones(bad.len(), 3);
+            prop_assert!(is_offsets_error(gather_segment_sum(&input, &indices, bad)));
+            prop_assert!(is_offsets_error(gather_segment_mean(&input, &indices, bad)));
+            prop_assert!(is_offsets_error(segment_scatter_add(rows, &grad, &indices, bad)));
+        }
+
+        // A gradient whose row count is not the segment count.
+        let wrong = Tensor::ones(offsets.len() + 1 + cut, 3);
+        prop_assert!(matches!(
+            segment_scatter_add(rows, &wrong, &indices, &offsets),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
 }
 
 proptest! {

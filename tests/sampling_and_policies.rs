@@ -55,10 +55,10 @@ fn dense_validates_on_generated_graphs() {
     let mut rng = StdRng::seed_from_u64(11);
     for start in [0u64, 50, 100] {
         let targets: Vec<u64> = (start..start + 50).collect();
-        let mut dense = sampler.sample(&subgraph, &targets, &mut rng);
-        dense.validate().expect("DENSE invariants");
-        dense.build_repr_map();
-        dense.validate().expect("repr_map consistent");
+        let dense = sampler.sample(&subgraph, &targets, &mut rng);
+        dense
+            .validate()
+            .expect("DENSE invariants, repr_map included");
     }
 }
 
