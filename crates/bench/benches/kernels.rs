@@ -76,6 +76,31 @@ fn bench_fused_kernels(c: &mut Criterion) {
     }
 }
 
+/// `matmul` of one `train_sage` layer (889x8 by 8x8) on a dense operand and on
+/// a ReLU-masked one (about half zeros), which skip their zero entries in
+/// different ways. Each iteration takes the next of 64 operands, so the branch
+/// predictor cannot learn one operand's zero pattern.
+fn bench_gemm_zero_skip(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let w = marius_tensor::uniform_init(&mut rng, 8, 8, 1.0);
+    for (label, relu) in [("dense", false), ("ReLU-masked", true)] {
+        let operands: Vec<Tensor> = (0..64)
+            .map(|_| {
+                let a = marius_tensor::uniform_init(&mut rng, 889, 8, 1.0);
+                if relu {
+                    a.relu()
+                } else {
+                    a
+                }
+            })
+            .collect();
+        let mut next = operands.iter().cycle();
+        c.bench_function(&format!("gemm 889x8x8 {label}"), |b| {
+            b.iter(|| next.next().unwrap().matmul(&w))
+        });
+    }
+}
+
 fn bench_sampling(c: &mut Criterion) {
     let data = ScaledDataset::generate(&DatasetSpec::livejournal().scaled(0.001), 3);
     let subgraph = InMemorySubgraph::from_edges(data.graph.edges());
@@ -104,6 +129,6 @@ fn bench_sampling(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dense_kernels, bench_fused_kernels, bench_sampling
+    targets = bench_dense_kernels, bench_fused_kernels, bench_gemm_zero_skip, bench_sampling
 }
 criterion_main!(benches);

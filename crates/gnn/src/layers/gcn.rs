@@ -52,6 +52,11 @@ impl GnnLayer for GcnLayer {
     fn forward(&self, ctx: &LayerContext, input: &Tensor) -> (Tensor, LayerCache) {
         let mut combined = gather_segment_sum(input, &ctx.repr_map, &ctx.nbr_offsets)
             .expect("DENSE repr_map and offsets are valid for the layer input");
+        assert_eq!(
+            input.rows().checked_sub(ctx.self_offset),
+            Some(combined.rows()),
+            "one self row per neighbour segment"
+        );
         // Add each node's own row, read in place, then normalise.
         let norms = Self::norms(ctx);
         for (j, &n) in norms.iter().enumerate() {
@@ -158,6 +163,17 @@ mod tests {
 
     fn toy_input() -> Tensor {
         Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0], &[0.5, -0.5]])
+    }
+
+    /// An input with a self row more than the context's output rows is a
+    /// caller error, not a short output.
+    #[test]
+    #[should_panic(expected = "one self row per neighbour segment")]
+    fn forward_rejects_extra_self_rows() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let layer = GcnLayer::new(2, 2, false, &mut rng);
+        let input = toy_input().vstack(&Tensor::zeros(1, 2)).unwrap();
+        layer.forward(&toy_context(), &input);
     }
 
     #[test]

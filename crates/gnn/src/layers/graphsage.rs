@@ -82,6 +82,11 @@ impl GnnLayer for GraphSageLayer {
             .matmul_from_row(ctx.self_offset, &self.w_self.value)
             .expect("self rows match w_self");
         let nbr_proj = nbr_aggr.matmul(&self.w_nbr.value);
+        assert_eq!(
+            pre.rows(),
+            nbr_proj.rows(),
+            "one self row per neighbour segment"
+        );
         let bias = self.bias.value.row(0);
         for (p, n) in pre
             .data_mut()
@@ -214,6 +219,17 @@ mod tests {
         assert!(out1.all_finite());
         // ReLU output is non-negative.
         assert!(out1.min() >= 0.0);
+    }
+
+    /// An input with a self row more than the context's output rows is a
+    /// caller error, not a short output.
+    #[test]
+    #[should_panic(expected = "one self row per neighbour segment")]
+    fn forward_rejects_extra_self_rows() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let layer = GraphSageLayer::new(2, 3, Aggregator::Mean, true, &mut rng);
+        let input = toy_input().vstack(&Tensor::zeros(1, 2)).unwrap();
+        layer.forward(&toy_context(), &input);
     }
 
     #[test]

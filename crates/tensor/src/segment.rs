@@ -163,7 +163,6 @@ fn gather_segments(
         let selected = &indices[range];
         match cols {
             8 => sum_rows_in_registers::<8>(input, selected, out_row),
-            16 => sum_rows_in_registers::<16>(input, selected, out_row),
             _ => {
                 for &idx in selected {
                     for (o, &x) in out_row.iter_mut().zip(input.row(idx)) {

@@ -52,10 +52,25 @@ fn special_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(data, rows, cols))
 }
 
-/// Strategy: a column count, including zero and the widths the GEMMs keep in
-/// registers (8 and 16).
+/// Strategy: a column count, including zero and the width the GEMMs keep in
+/// registers (8).
 fn width() -> impl Strategy<Value = usize> {
-    prop_oneof![0usize..4, Just(8usize), Just(16usize), 5usize..13]
+    prop_oneof![0usize..4, Just(8usize), 5usize..13]
+}
+
+/// Strategy: a GEMM's left operand, either ReLU-sparse ([`special_tensor`]) or
+/// dense with few zeros, so the register kernels run both ways of skipping a
+/// zero entry.
+fn operand(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
+    let dense_element = (0u32..40, -10.0f32..10.0).prop_map(|(kind, v)| match kind {
+        0 => -0.0,
+        1 => f32::NAN,
+        2 => f32::INFINITY,
+        _ => v,
+    });
+    let dense = proptest::collection::vec(dense_element, rows * cols)
+        .prop_map(move |data| Tensor::from_vec(data, rows, cols));
+    prop_oneof![special_tensor(rows, cols), dense]
 }
 
 /// Strategy: a valid offsets array over `len` rows (0 to 5 segments; the first
@@ -150,7 +165,7 @@ proptest! {
     #[test]
     fn matmul_matches_naive_reference(
         (a, b, start) in (0usize..7, 0usize..10, width()).prop_flat_map(|(m, k, n)| {
-            (special_tensor(m, k), special_tensor(k, n), 0..=m)
+            (operand(m, k), special_tensor(k, n), 0..=m)
         }),
     ) {
         prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
@@ -167,7 +182,7 @@ proptest! {
     fn transpose_matmul_matches_reference(
         (a, b, head) in (0usize..7, 0usize..10, width()).prop_flat_map(|(m, k, n)| {
             (0..=m).prop_flat_map(move |tail| {
-                (special_tensor(m, k), special_tensor(tail, n), Just(m - tail))
+                (operand(m, k), special_tensor(tail, n), Just(m - tail))
             })
         }),
     ) {
@@ -189,8 +204,8 @@ proptest! {
     /// register kernel equals `transpose().matmul()`, bit for bit.
     #[test]
     fn transpose_matmul_matches_reference_across_tiles(
-        (a, b) in (250usize..700, 1usize..5, prop_oneof![Just(8usize), Just(16usize), 1usize..12])
-            .prop_flat_map(|(m, k, n)| (special_tensor(m, k), special_tensor(m, n))),
+        (a, b) in (250usize..700, 1usize..5, prop_oneof![Just(8usize), 1usize..12])
+            .prop_flat_map(|(m, k, n)| (operand(m, k), special_tensor(m, n))),
     ) {
         prop_assert_eq!(
             bits(&a.transpose_matmul(&b).unwrap()),
