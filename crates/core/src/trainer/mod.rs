@@ -53,7 +53,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A callback invoked after every completed epoch (metrics are final for the
@@ -440,7 +440,7 @@ impl<T: Task> Trainer<T> {
             stream: self
                 .stream_state
                 .as_ref()
-                .map(|s| *s.lock().expect("stream state poisoned")),
+                .map(|s| *s.lock().unwrap_or_else(PoisonError::into_inner)),
         };
         crate::checkpoint::write_versioned(dir, &snapshot)?;
         Ok(())

@@ -77,6 +77,45 @@ pub fn partition_digest(values: &[f32]) -> u64 {
     })
 }
 
+/// Encodes edges as the store's fixed-width edge records (`src: u64 LE,
+/// dst: u64 LE, rel: u32 LE` — [`Edge::DISK_BYTES`] per record): the format
+/// of bucket files and of streamed delta files.
+pub fn encode_edges(edges: &[Edge]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
+    for e in edges {
+        buf.extend_from_slice(&e.src.to_le_bytes());
+        buf.extend_from_slice(&e.dst.to_le_bytes());
+        buf.extend_from_slice(&e.rel.to_le_bytes());
+    }
+    buf
+}
+
+/// Decodes [`encode_edges`] records, rejecting a length that is not a whole
+/// number of records: a torn file fails loudly instead of loading a prefix.
+pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
+    if !bytes.len().is_multiple_of(Edge::DISK_BYTES) {
+        return Err(StorageError::NotResident {
+            reason: format!(
+                "edge file length {} is not a multiple of the {}-byte edge record",
+                bytes.len(),
+                Edge::DISK_BYTES
+            ),
+        });
+    }
+    Ok(bytes
+        .chunks_exact(Edge::DISK_BYTES)
+        .map(|rec| {
+            let (src, rest) = rec.split_at(8);
+            let (dst, rel) = rest.split_at(8);
+            Edge::with_rel(
+                u64::from_le_bytes(src.try_into().expect("8-byte field")),
+                u32::from_le_bytes(rel.try_into().expect("4-byte field")),
+                u64::from_le_bytes(dst.try_into().expect("8-byte field")),
+            )
+        })
+        .collect())
+}
+
 /// Atomically materialises `src`'s bytes at `dst`: hard-links when the two
 /// paths share a filesystem (snapshots of multi-gigabyte partition files cost
 /// one directory entry), falling back to a full copy. Because every mutation
@@ -593,12 +632,7 @@ impl PartitionStore {
 
     /// Writes an edge bucket as fixed-width records.
     pub fn write_bucket(&self, src: PartitionId, dst: PartitionId, edges: &[Edge]) -> Result<()> {
-        let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
-        for e in edges {
-            buf.extend_from_slice(&e.src.to_le_bytes());
-            buf.extend_from_slice(&e.dst.to_le_bytes());
-            buf.extend_from_slice(&e.rel.to_le_bytes());
-        }
+        let buf = encode_edges(edges);
         self.place(
             &format!("bucket/{src}_{dst}"),
             &self.bucket_path(src, dst),
@@ -610,7 +644,8 @@ impl PartitionStore {
     }
 
     /// Reads an edge bucket. A missing file is treated as an empty bucket (empty
-    /// buckets are common and not all of them are materialised).
+    /// buckets are common and not all of them are materialised); a file that
+    /// is not a whole number of edge records is an error, never a prefix.
     pub fn read_bucket(&self, src: PartitionId, dst: PartitionId) -> Result<Vec<Edge>> {
         let key = format!("bucket/{src}_{dst}");
         self.retrying(&key, || {
@@ -629,14 +664,7 @@ impl PartitionStore {
         };
         self.note_read(buf.len().max(1) as u64);
         self.throttle_op(buf.len().max(1) as u64);
-        let mut edges = Vec::with_capacity(buf.len() / Edge::DISK_BYTES);
-        for rec in buf.chunks_exact(Edge::DISK_BYTES) {
-            let src_id = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let dst_id = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-            let rel = u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes"));
-            edges.push(Edge::with_rel(src_id, rel, dst_id));
-        }
-        Ok(edges)
+        decode_edges(&buf)
     }
 
     /// Snapshots every completed store file (node partitions and edge

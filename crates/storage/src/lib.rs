@@ -52,7 +52,9 @@ pub mod retry;
 pub mod tuning;
 
 pub use buffer::{BufferStats, EvictedPartition, PartitionBuffer, WritebackLedger};
-pub use disk::{atomic_write, partition_digest, IoStats, PartitionStore};
+pub use disk::{
+    atomic_write, decode_edges, encode_edges, partition_digest, IoStats, PartitionStore,
+};
 pub use fault::{FaultInjector, IoFaultPlan, Outage};
 pub use io_model::IoCostModel;
 pub use policy::{BetaPolicy, CometPolicy, EpochPlan, InMemoryPolicy, NodeCachePolicy};

@@ -31,7 +31,24 @@
 //! mid-stage leaves only `.tmp` litter — never a readable half-written
 //! `delta-*.bin` — and the [`Ingestor`] applies a delta only from the staged
 //! bytes it reads back from the completed file, so a torn delta is never
-//! applied. Durability of *applied* progress is owned by the checkpoint
+//! applied.
+//!
+//! A boundary's deltas are applied together: every delta is staged, read
+//! back, decoded and validated first, then all of them are appended to the
+//! in-memory buckets in delta order and each touched bucket file is
+//! rewritten **once per boundary** (not once per delta). Per-bucket edge
+//! order is still delta order. A failure part-way leaves:
+//!
+//! * a stage, decode or validation failure at delta `k`: deltas before `k`
+//!   applied (in-memory buckets and bucket files agree), the cursor at `k`,
+//!   nothing of delta `k` or later in the buckets (a failed stage leaves at
+//!   most `.tmp` litter of delta `k`), and then the error;
+//! * a failed bucket rewrite: the in-memory buckets truncated back to their
+//!   state before the boundary, the cursor unadvanced, and bucket files
+//!   that may already hold the boundary's edges — stale files, which
+//!   recovery never trusts (below).
+//!
+//! Durability of *applied* progress is owned by the checkpoint
 //! manifest: the [`StreamState`] cursor in the manifest is the single source
 //! of truth, and recovery replays the stream from the base dataset rather
 //! than trusting any bucket file a crash may have left stale.
@@ -69,12 +86,13 @@
 
 use marius_core::{DiskSetup, StreamState};
 use marius_graph::Edge;
+pub use marius_storage::{decode_edges, encode_edges};
 use marius_storage::{PartitionStore, Result, StorageError};
-use marius_telemetry::{Telemetry, NO_LABEL};
+use marius_telemetry::{SpanScope, Telemetry, NO_LABEL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// SplitMix64 finalizer mixing the stream seed with a batch index, so each
@@ -147,42 +165,6 @@ impl EdgeStream {
     }
 }
 
-/// Encodes edges in the store's fixed-width bucket record format
-/// (`src: u64 LE, dst: u64 LE, rel: u32 LE` — [`Edge::DISK_BYTES`] per
-/// record), the wire format of staged delta files.
-pub fn encode_edges(edges: &[Edge]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(edges.len() * Edge::DISK_BYTES);
-    for e in edges {
-        buf.extend_from_slice(&e.src.to_le_bytes());
-        buf.extend_from_slice(&e.dst.to_le_bytes());
-        buf.extend_from_slice(&e.rel.to_le_bytes());
-    }
-    buf
-}
-
-/// Decodes a delta file's bytes back into edges, rejecting lengths that are
-/// not a whole number of records (a torn file must fail loudly, not load a
-/// prefix).
-pub fn decode_edges(bytes: &[u8]) -> Result<Vec<Edge>> {
-    if !bytes.len().is_multiple_of(Edge::DISK_BYTES) {
-        return Err(StorageError::NotResident {
-            reason: format!(
-                "delta file length {} is not a multiple of the {}-byte edge record",
-                bytes.len(),
-                Edge::DISK_BYTES
-            ),
-        });
-    }
-    let mut edges = Vec::with_capacity(bytes.len() / Edge::DISK_BYTES);
-    for rec in bytes.chunks_exact(Edge::DISK_BYTES) {
-        let src = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let dst = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-        let rel = u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes"));
-        edges.push(Edge::with_rel(src, rel, dst));
-    }
-    Ok(edges)
-}
-
 /// The staged on-disk name of delta `k` (zero-padded so directory listings
 /// sort in stream order).
 pub fn delta_file_name(k: u64) -> String {
@@ -247,7 +229,7 @@ impl Ingestor {
                 self.stream.batch_size()
             )));
         }
-        *self.state.lock().expect("stream state poisoned") = cursor;
+        *self.lock_state() = cursor;
         Ok(self)
     }
 
@@ -258,89 +240,128 @@ impl Ingestor {
 
     /// The current cursor value.
     pub fn cursor(&self) -> StreamState {
-        *self.state.lock().expect("stream state poisoned")
+        *self.lock_state()
+    }
+
+    /// Locks the cursor, recovering from a peer's panic: the state is plain
+    /// counters and no update of them can panic part-way, so a poisoned
+    /// guard still holds a whole cursor.
+    fn lock_state(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stages and applies the next `batches` stream batches into `setup`,
     /// returning the number of edges ingested. Must be called only at the
     /// write-back safe point (the trainer's ingest hook guarantees this).
     ///
-    /// Each batch is staged as an atomic `delta-*.bin` file first and
-    /// applied from the bytes read back off disk, so what lands in the
-    /// buckets is exactly what recovery would replay. An error (e.g. an
-    /// unabsorbed injected fault) propagates before the cursor advances:
-    /// the failed delta is never applied, and at most `.tmp` litter remains.
+    /// The boundary runs in two phases. First every batch is staged as an
+    /// atomic `delta-*.bin` file, read back off disk, decoded and validated,
+    /// so what lands in the buckets is exactly what recovery would replay.
+    /// Then the deltas are appended to their buckets in delta order and each
+    /// touched bucket file is rewritten once. A stage, decode or validation
+    /// failure at delta `k` still commits deltas before `k` (buckets and
+    /// cursor) and then returns the error; delta `k` and later are never
+    /// applied. See the crate docs for what a failed bucket rewrite leaves.
     pub fn ingest(&self, setup: &mut DiskSetup, batches: usize) -> Result<u64> {
         let mut span = self.telemetry.scope("ingest");
-        let mut total = 0u64;
-        for _ in 0..batches {
-            let k = self.cursor().batches_applied;
-            let edges = self.stream.batch(k);
-            let bytes = encode_edges(&edges);
-            let name = delta_file_name(k);
-            let path = self.staging.root().join(&name);
-            span.begin("ingest.stage", k as i64, NO_LABEL);
-            let staged = self
-                .staging
-                .place_file(&format!("ingest/{name}"), &path, &bytes)
-                .and_then(|()| std::fs::read(&path).map_err(StorageError::from));
-            span.end();
-            let staged = staged?;
-            self.telemetry.counter("ingest.batches_staged").incr();
-            let delta = decode_edges(&staged)?;
-            span.begin("ingest.apply", k as i64, NO_LABEL);
+        let first = self.cursor().batches_applied;
+        let mut deltas = Vec::with_capacity(batches);
+        let mut failure = None;
+        for k in first..first + batches as u64 {
+            match self.stage(&mut span, k, setup.assignment.num_nodes()) {
+                Ok(delta) => deltas.push(delta),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        let edges: u64 = deltas.iter().map(|d| d.len() as u64).sum();
+        if !deltas.is_empty() {
+            span.begin("ingest.apply", first as i64, NO_LABEL);
             let start = Instant::now();
-            let applied = apply_delta(setup, &delta);
+            let applied = apply_deltas(setup, &deltas);
             let elapsed = start.elapsed();
             span.end();
             applied?;
-            self.telemetry.counter("ingest.deltas_applied").incr();
             self.telemetry
-                .counter("ingest.edges_appended")
-                .add(delta.len() as u64);
+                .counter("ingest.deltas_applied")
+                .add(deltas.len() as u64);
+            self.telemetry.counter("ingest.edges_appended").add(edges);
             self.telemetry
                 .counter("ingest.apply_ns")
                 .add_duration(elapsed);
-            let mut state = self.state.lock().expect("stream state poisoned");
-            state.batches_applied += 1;
-            state.edges_ingested += delta.len() as u64;
-            total += delta.len() as u64;
+            let mut state = self.lock_state();
+            state.batches_applied += deltas.len() as u64;
+            state.edges_ingested += edges;
         }
-        Ok(total)
+        failure.map_or(Ok(edges), Err)
     }
-}
 
-/// Applies one decoded delta to a run's [`DiskSetup`]: appends each edge to
-/// its `(partition(src), partition(dst))` bucket in memory, then rewrites
-/// every touched bucket file so the store agrees (the pipelined executor's
-/// prefetcher reads subgraph edges from the bucket *files*). Appending in
-/// delta order keeps the per-bucket edge order identical to what a full
-/// bucket rebuild from the grown, time-ordered edge list produces — the
-/// invariant streamed-run resume relies on.
-fn apply_delta(setup: &mut DiskSetup, edges: &[Edge]) -> Result<()> {
-    let p = setup.assignment.num_partitions();
-    let mut touched: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for e in edges {
-        if e.src >= setup.assignment.num_nodes() || e.dst >= setup.assignment.num_nodes() {
+    /// Stages batch `k` as its delta file and returns the edges decoded from
+    /// the bytes read back, after checking that every edge references one of
+    /// the graph's `num_nodes` nodes.
+    fn stage(&self, span: &mut SpanScope, k: u64, num_nodes: u64) -> Result<Vec<Edge>> {
+        let name = delta_file_name(k);
+        let path = self.staging.root().join(&name);
+        let bytes = encode_edges(&self.stream.batch(k));
+        span.begin("ingest.stage", k as i64, NO_LABEL);
+        let staged = self
+            .staging
+            .place_file(&format!("ingest/{name}"), &path, &bytes)
+            .and_then(|()| std::fs::read(&path).map_err(StorageError::from));
+        span.end();
+        let staged = staged?;
+        self.telemetry.counter("ingest.batches_staged").incr();
+        let delta = decode_edges(&staged)?;
+        if let Some(e) = delta
+            .iter()
+            .find(|e| e.src >= num_nodes || e.dst >= num_nodes)
+        {
             return Err(StorageError::NotResident {
                 reason: format!(
-                    "streamed edge ({}, {}) references a node outside the {}-node graph",
-                    e.src,
-                    e.dst,
-                    setup.assignment.num_nodes()
+                    "streamed edge ({}, {}) in {name} references a node outside the \
+                     {num_nodes}-node graph",
+                    e.src, e.dst
                 ),
             });
         }
-        let (i, j) = setup.assignment.bucket_of(e);
-        setup.buckets[(i * p + j) as usize].edges.push(*e);
-        touched.insert((i, j));
+        Ok(delta)
     }
-    for (i, j) in touched {
+}
+
+/// Applies a boundary's decoded deltas to a run's [`DiskSetup`]: appends
+/// each edge to its `(partition(src), partition(dst))` bucket in memory, in
+/// delta order, then rewrites every touched bucket file once so the store
+/// agrees (the pipelined executor's prefetcher reads subgraph edges from the
+/// bucket *files*). Appending in delta order keeps the per-bucket edge order
+/// identical to what a full bucket rebuild from the grown, time-ordered edge
+/// list produces — the invariant streamed-run resume relies on. If a rewrite
+/// fails, the in-memory buckets are truncated back to their lengths before
+/// the boundary, so they agree with the unadvanced cursor.
+fn apply_deltas(setup: &mut DiskSetup, deltas: &[Vec<Edge>]) -> Result<()> {
+    let p = setup.assignment.num_partitions();
+    // Touched bucket index → its length before this boundary.
+    let mut touched: BTreeMap<usize, usize> = BTreeMap::new();
+    for e in deltas.iter().flatten() {
+        let (i, j) = setup.assignment.bucket_of(e);
+        let b = (i * p + j) as usize;
+        let edges = &mut setup.buckets[b].edges;
+        touched.entry(b).or_insert(edges.len());
+        edges.push(*e);
+    }
+    let written = touched.keys().try_for_each(|&b| {
+        let bucket = &setup.buckets[b];
         setup
             .store
-            .write_bucket(i, j, &setup.buckets[(i * p + j) as usize].edges)?;
+            .write_bucket(bucket.src_partition, bucket.dst_partition, &bucket.edges)
+    });
+    if written.is_err() {
+        for (&b, &len) in &touched {
+            setup.buckets[b].edges.truncate(len);
+        }
     }
-    Ok(())
+    written
 }
 
 #[cfg(test)]
